@@ -33,7 +33,11 @@ Status BaselineStore::Open(const BaselineOptions& options, std::unique_ptr<Basel
 }
 
 BaselineStore::~BaselineStore() {
-  stop_.store(true, std::memory_order_seq_cst);
+  {
+    // Under flush_mu_, like imm_ in SwapMemtableLocked: see there.
+    MutexLock lock(flush_mu_);
+    stop_.store(true, std::memory_order_seq_cst);
+  }
   flush_cv_.SignalAll();
   room_cv_.SignalAll();
   if (flush_thread_.joinable()) {
@@ -91,7 +95,14 @@ Status BaselineStore::Update(const Slice& key, const Slice& value, ValueType typ
 void BaselineStore::SwapMemtableLocked() {
   db_mu_.AssertHeld();
   BaselineMemTable* full = mem_.load(std::memory_order_seq_cst);
-  imm_.store(full, std::memory_order_seq_cst);
+  {
+    // FlushLoop reads imm_ and then waits, both under flush_mu_. Stored
+    // outside the mutex, imm_ could land between the two, the signal
+    // below would be lost, and the flush thread would sleep on a full
+    // imm_ while writers wait for room.
+    MutexLock lock(flush_mu_);
+    imm_.store(full, std::memory_order_seq_cst);
+  }
   mem_.store(NewMemTable(), std::memory_order_seq_cst);
   flush_cv_.SignalAll();
 }

@@ -144,7 +144,8 @@ class BaselineStore final : public KVStore {
 
   std::thread flush_thread_;
   // flush_cv_'s predicates read only atomics (stop_, imm_); nothing is
-  // guarded by flush_mu_.
+  // guarded by flush_mu_, but both are stored under it so that a wakeup
+  // cannot fall between FlushLoop's check and its wait.
   Mutex flush_mu_;
   CondVar flush_cv_;
   std::atomic<bool> stop_{false};

@@ -105,7 +105,8 @@ void Report::JsonRow(const std::vector<std::pair<std::string, std::string>>& str
       row += ", ";
     }
     first = false;
-    row += "\"" + JsonEscape(key) + "\": \"" + JsonEscape(value) + "\"";
+    row.append("\"").append(JsonEscape(key)).append("\": \"");
+    row.append(JsonEscape(value)).append("\"");
   }
   for (const auto& [key, value] : numbers) {
     if (!first) {
@@ -114,7 +115,7 @@ void Report::JsonRow(const std::vector<std::pair<std::string, std::string>>& str
     first = false;
     char buf[64];
     snprintf(buf, sizeof(buf), "%.6g", value);
-    row += "\"" + JsonEscape(key) + "\": " + buf;
+    row.append("\"").append(JsonEscape(key)).append("\": ").append(buf);
   }
   row += "}";
   json_rows_.push_back(std::move(row));

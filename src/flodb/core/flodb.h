@@ -106,6 +106,8 @@ class FloDB final : public KVStore {
   // The router drives the shard-side half of cross-shard two-phase commit
   // (PrepareBatch / ApplyPreparedBatch / AbandonPrepare below).
   friend class ShardedKVStore;
+  // Tests hold the background drain through drain_held_ (below).
+  friend class FloDBTestPeer;
 
   explicit FloDB(const FloDbOptions& options);
 
@@ -290,6 +292,10 @@ class FloDB final : public KVStore {
   // Algorithm 2/3 flags.
   std::atomic<bool> pause_writers_{false};
   std::atomic<bool> pause_draining_{false};
+  // Set only by tests (FloDBTestPeer): stops DrainLoop from starting a
+  // drain pass. Separate from pause_draining_, which master scans and
+  // rotations reset when they finish.
+  std::atomic<bool> drain_held_{false};
 
   // Helpers may collect from the immutable Membuffer only after the
   // post-swap grace period: a writer that resolved the old buffer before

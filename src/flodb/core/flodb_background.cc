@@ -34,7 +34,13 @@ void FloDB::StartBackgroundThreads() {
 }
 
 void FloDB::StopBackgroundThreads() {
-  stop_.store(true, std::memory_order_seq_cst);
+  {
+    // PersistLoop reads stop_ and then waits, both under persist_mu_. Set
+    // outside the mutex, stop_ could land between the two, the signal
+    // below would be lost and the join would hang.
+    MutexLock lock(persist_mu_);
+    stop_.store(true, std::memory_order_seq_cst);
+  }
   TriggerPersist();
   // The GC thread first: its rounds call FlushAll, which needs the
   // persist thread alive to make progress (FlushAll bails on stop_, but
@@ -186,7 +192,8 @@ void FloDB::DrainLoop() {
     // for the next Memtable swap. Lock-free no-op when healthy.
     TryReopenWal();
 
-    if (pause_draining_.load(std::memory_order_seq_cst)) {
+    if (pause_draining_.load(std::memory_order_seq_cst) ||
+        drain_held_.load(std::memory_order_seq_cst)) {
       std::this_thread::sleep_for(kDrainIdleSleep);
       continue;
     }
@@ -232,7 +239,10 @@ void FloDB::DrainLoop() {
     {
       RcuReadGuard guard(rcu_);
       MemBuffer* mbf = mbf_.load(std::memory_order_seq_cst);
-      if (mbf != nullptr) {
+      // Checked again inside the read section: a pass that got past the
+      // check above before the hold was set is then fenced off by the
+      // grace period the holder waits for.
+      if (mbf != nullptr && !drain_held_.load(std::memory_order_seq_cst)) {
         const uint64_t partition = mbf->ClaimPartition();
         collected = mbf->CollectAndMark(partition, options_.drain_batch, &batch);
         if (collected > 0) {

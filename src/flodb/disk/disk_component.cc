@@ -32,13 +32,12 @@ DiskComponent::DiskComponent(const DiskOptions& options)
       level_busy_(options.num_levels, false),
       picker_(MakeCompactionConfig(options)) {}
 
-// RAII registration of an output file number in pending_outputs_.
+// RAII registration of a freshly allocated output file number in
+// pending_outputs_ (see NewPendingNumber).
 struct DiskComponent::PendingOutput {
-  PendingOutput(DiskComponent* dc, uint64_t number) : dc_(dc), number_(number) {
-    MutexLock lock(dc_->pending_mu_);
-    dc_->pending_outputs_.insert(number_);
-  }
+  explicit PendingOutput(DiskComponent* dc) : dc_(dc), number_(dc->NewPendingNumber()) {}
   ~PendingOutput() { Release(); }
+  uint64_t number() const { return number_; }
   void Release() {
     if (dc_ != nullptr) {
       MutexLock lock(dc_->pending_mu_);
@@ -121,14 +120,9 @@ Status DiskComponent::Open(const DiskOptions& options, std::unique_ptr<DiskCompo
     DiskComponent* raw = dc.get();
     dc->value_log_ = std::make_unique<ValueLog>(
         options.env, options.path, options.vlog_file_target_bytes,
-        [raw] {
-          // Shield the number from a sweep racing the creation→register
-          // window (same pending-outputs discipline as .sst outputs).
-          const uint64_t number = raw->versions_->NewFileNumber();
-          MutexLock lock(raw->pending_mu_);
-          raw->pending_outputs_.insert(number);
-          return number;
-        },
+        // Shielded from the orphan sweep until registered (same
+        // pending-outputs discipline as .sst outputs).
+        [raw] { return raw->NewPendingNumber(); },
         [raw](uint64_t number) {
           VersionEdit edit;
           edit.added_vlogs.push_back(number);
@@ -239,8 +233,8 @@ Status DiskComponent::AddRun(Iterator* iter) {
     }
   }
 
-  const uint64_t number = versions_->NewFileNumber();
-  PendingOutput pending(this, number);  // shield from GC until installed
+  PendingOutput pending(this);  // shield from GC until installed
+  const uint64_t number = pending.number();
   const std::string fname = versions_->TableFileName(number);
   std::unique_ptr<WritableFile> file;
   Status s = options_.env->NewWritableFile(fname, &file);
@@ -590,8 +584,8 @@ Status DiskComponent::DoCompaction(const CompactionJob& job) {
       output_refs.insert(ptr.file_number);
     }
     if (builder == nullptr) {
-      out_number = versions_->NewFileNumber();
-      pending.push_back(std::make_unique<PendingOutput>(this, out_number));
+      pending.push_back(std::make_unique<PendingOutput>(this));
+      out_number = pending.back()->number();
       s = options_.env->NewWritableFile(versions_->TableFileName(out_number), &file);
       if (!s.ok()) {
         return s;
@@ -642,19 +636,36 @@ Status DiskComponent::DoCompaction(const CompactionJob& job) {
   return Status::OK();
 }
 
+uint64_t DiskComponent::NewPendingNumber() {
+  // Allocated and registered in one step under pending_mu_, the lock the
+  // sweep reads its barrier under: a sweep sees every number below its
+  // barrier either still pending or already released.
+  MutexLock lock(pending_mu_);
+  const uint64_t number = versions_->NewFileNumber();
+  pending_outputs_.insert(number);
+  return number;
+}
+
 void DiskComponent::RemoveObsoleteFiles() {
-  // Barrier BEFORE the liveness snapshot: any file allocated from here on
-  // (a concurrent flush/compaction output) is younger than `live` and
-  // might be installed between our snapshot and the directory listing —
-  // it must never be considered obsolete.
-  const uint64_t barrier = versions_->PeekFileNumber();
-  std::set<uint64_t> live = versions_->AllLiveFileNumbers();
-  std::set<uint64_t> live_vlogs = versions_->AllLiveVlogNumbers();
+  // Barrier and pending snapshot first, under one lock: any file
+  // allocated after them is younger than `live` and might be installed
+  // between our snapshot and the directory listing, so it must never be
+  // considered obsolete. An output below the barrier that is no longer
+  // pending was released after its install (or its failure), so the
+  // liveness snapshot taken next holds it if it is still live. Taken in
+  // the other order, an output installed and released between the two
+  // snapshots would be in neither and be unlinked.
+  uint64_t barrier;
+  std::set<uint64_t> pending;
   {
     MutexLock lock(pending_mu_);
-    live.insert(pending_outputs_.begin(), pending_outputs_.end());
-    live_vlogs.insert(pending_outputs_.begin(), pending_outputs_.end());
+    barrier = versions_->PeekFileNumber();
+    pending = pending_outputs_;
   }
+  std::set<uint64_t> live = versions_->AllLiveFileNumbers();
+  std::set<uint64_t> live_vlogs = versions_->AllLiveVlogNumbers();
+  live.insert(pending.begin(), pending.end());
+  live_vlogs.insert(pending.begin(), pending.end());
   const uint64_t live_manifest = versions_->CurrentManifestNumber();
   std::vector<std::string> children;
   if (!options_.env->GetChildren(options_.path, &children).ok()) {

@@ -251,6 +251,8 @@ class DiskComponent {
                              bool* did_work);
   void BackgroundWork();
   void RemoveObsoleteFiles();
+  // Allocates a file number and registers it in pending_outputs_.
+  uint64_t NewPendingNumber() EXCLUDES(pending_mu_);
 
   const DiskOptions options_;
   std::unique_ptr<VersionSet> versions_;

@@ -36,6 +36,7 @@ MemBuffer::MemBuffer(const Options& options) : options_(options) {
   num_buckets_ = want_buckets;
   buckets_per_partition_ = num_buckets_ / num_partitions_;
   buckets_ = std::vector<Bucket>(num_buckets_);
+  partition_counts_ = std::vector<PartitionCount>(num_partitions_);
 }
 
 MemBuffer::~MemBuffer() = default;
@@ -67,7 +68,8 @@ uint64_t MemBuffer::BucketIndexFor(const Slice& key) const {
 }
 
 MemBuffer::AddResult MemBuffer::Add(const Slice& key, const Slice& value, ValueType type) {
-  Bucket& bucket = buckets_[BucketIndexFor(key)];
+  const uint64_t bucket_index = BucketIndexFor(key);
+  Bucket& bucket = buckets_[bucket_index];
   SpinLockHolder guard(bucket.lock);
 
   int free_slot = -1;
@@ -125,6 +127,8 @@ MemBuffer::AddResult MemBuffer::Add(const Slice& key, const Slice& value, ValueT
   bucket.fresh_mask &= static_cast<uint8_t>(~(1u << free_slot));
   live_entries_.fetch_add(1, std::memory_order_relaxed);
   live_bytes_.fetch_add(EntryFootprint(key, value), std::memory_order_relaxed);
+  partition_counts_[bucket_index / buckets_per_partition_].entries.fetch_add(
+      1, std::memory_order_relaxed);
   return AddResult::kAdded;
 }
 
@@ -147,6 +151,9 @@ bool MemBuffer::Get(const Slice& key, std::string* value, ValueType* type) const
 
 size_t MemBuffer::CollectAndMark(uint64_t partition, size_t max_entries,
                                  std::vector<DrainedEntry>* out) {
+  if (partition_counts_[partition].entries.load(std::memory_order_relaxed) == 0) {
+    return 0;  // empty partition: skip its buckets without locking them
+  }
   const uint64_t begin = partition * buckets_per_partition_;
   const uint64_t end = begin + buckets_per_partition_;
   size_t collected = 0;
@@ -187,6 +194,8 @@ void MemBuffer::FinishDrain(const std::vector<DrainedEntry>& entries) {
       live_bytes_.fetch_sub(EntryFootprint(slot.rec->key(), slot.rec->value()),
                             std::memory_order_relaxed);
       live_entries_.fetch_sub(1, std::memory_order_relaxed);
+      partition_counts_[e.bucket / buckets_per_partition_].entries.fetch_sub(
+          1, std::memory_order_relaxed);
       slot.rec = nullptr;
     }
     // else: concurrently updated — leave the (fresher) entry for a later

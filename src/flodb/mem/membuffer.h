@@ -80,13 +80,19 @@ class MemBuffer {
   // ---- background drain support (incremental, mutable buffer) ----
 
   // Claims the next partition to drain (round-robin across drainers).
+  // The cursor visits every partition, empty or not. An empty one costs
+  // O(1) (CollectAndMark skips it), so the partitions a narrow key range
+  // leaves empty do not slow the drain more in a bigger buffer.
   uint64_t ClaimPartition() {
     return drain_partition_cursor_.fetch_add(1, std::memory_order_relaxed) % num_partitions_;
   }
 
   // Collects up to max_entries unmarked entries from `partition`, marking
   // their slots. Appends to *out (key/value copied). Returns the number
-  // collected; 0 means the partition had nothing drainable.
+  // collected; 0 means the partition had nothing drainable. A partition
+  // whose occupancy count is 0 returns 0 at once, without taking any
+  // bucket lock. The count is read unlocked, so an entry added during the
+  // call may be missed; the next pass over the partition collects it.
   size_t CollectAndMark(uint64_t partition, size_t max_entries, std::vector<DrainedEntry>* out);
 
   // Completes a drain batch: removes each slot whose version is unchanged
@@ -166,6 +172,14 @@ class MemBuffer {
     Slot slots[kSlotsPerBucket] GUARDED_BY(lock);
   };
 
+  // Live entries of one partition, marked ones included: raised by Add on
+  // kAdded, lowered when FinishDrain removes a slot, both under the bucket
+  // lock. On its own cache line so writers to different partitions do not
+  // share one.
+  struct alignas(64) PartitionCount {
+    std::atomic<size_t> entries{0};
+  };
+
   Record* MakeRecord(const Slice& key, const Slice& value, ValueType type);
   uint64_t BucketIndexFor(const Slice& key) const;
   static uint64_t PartitionOf(const Slice& key, int partition_bits);
@@ -175,6 +189,7 @@ class MemBuffer {
   uint64_t buckets_per_partition_;
   uint64_t num_buckets_;
   std::vector<Bucket> buckets_;
+  std::vector<PartitionCount> partition_counts_;
   mutable ConcurrentArena arena_;
 
   std::atomic<size_t> live_entries_{0};

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
@@ -174,6 +175,35 @@ TEST(MemBufferTest, CollectAndMarkThenFinishRemoves) {
   EXPECT_EQ(total, 100u);
   EXPECT_EQ(buffer.LiveEntries(), 0u);
   EXPECT_FALSE(buffer.Get(Slice(EncodeKey(1)), nullptr, nullptr));
+}
+
+TEST(MemBufferTest, SmallBatchesDrainANarrowKeyRangeCompletely) {
+  // All keys in partition 0, drained with the drainer's call pattern in
+  // batches smaller than the partition: every batch on partition 0 is
+  // full until the last, the empty partitions yield nothing, and a key
+  // added after the partition emptied is found again.
+  MemBuffer buffer(SmallOptions());
+  for (uint64_t k = 0; k < 100; ++k) {
+    ASSERT_EQ(buffer.Add(Slice(EncodeKey(k)), Slice("v"), ValueType::kValue),
+              MemBuffer::AddResult::kAdded);
+  }
+  std::vector<DrainedEntry> batch;
+  size_t remaining = 100;
+  for (uint64_t round = 0; round < 40 * buffer.NumPartitions() && remaining > 0; ++round) {
+    batch.clear();
+    const uint64_t partition = buffer.ClaimPartition();
+    const size_t n = buffer.CollectAndMark(partition, 3, &batch);
+    EXPECT_EQ(n, partition == 0 ? std::min<size_t>(3, remaining) : 0u);
+    buffer.FinishDrain(batch);
+    remaining -= n;
+  }
+  EXPECT_EQ(remaining, 0u);
+  EXPECT_EQ(buffer.LiveEntries(), 0u);
+
+  buffer.Add(Slice(EncodeKey(7)), Slice("again"), ValueType::kValue);
+  batch.clear();
+  ASSERT_EQ(buffer.CollectAndMark(0, 3, &batch), 1u);
+  EXPECT_EQ(batch[0].value, "again");
 }
 
 TEST(MemBufferTest, MarkedEntriesAreNotRecollected) {
