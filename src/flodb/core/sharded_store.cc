@@ -706,6 +706,7 @@ StoreStats ShardedKVStore::GetStats() const {
     total.disk.bytes_compacted_in += s.disk.bytes_compacted_in;
     total.disk.bytes_compacted_out += s.disk.bytes_compacted_out;
     total.disk.compactions += s.disk.compactions;
+    total.disk.compaction_failures += s.disk.compaction_failures;
     total.disk.flushes += s.disk.flushes;
     total.disk.seeks_saved_by_bloom += s.disk.seeks_saved_by_bloom;
     total.disk.block_cache_hits += s.disk.block_cache_hits;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,12 @@
 namespace flodb {
 
 namespace {
+
+// Retry delay after a failed background compaction: doubles with each
+// consecutive failure of a worker, from the first value up to the cap,
+// and resets on success.
+constexpr std::chrono::milliseconds kCompactionRetryMin{100};
+constexpr std::chrono::milliseconds kCompactionRetryMax{5000};
 
 CompactionConfig MakeCompactionConfig(const DiskOptions& options) {
   CompactionConfig config;
@@ -182,38 +189,50 @@ Slice TableCacheKey(uint64_t number, char* buf /*8 bytes*/) {
 
 }  // namespace
 
-std::shared_ptr<TableReader> DiskComponent::GetTable(uint64_t number, uint64_t file_size) const {
+Status DiskComponent::GetTable(uint64_t number, uint64_t file_size,
+                               std::shared_ptr<TableReader>* table) const {
   char buf[8];
   const Slice key = TableCacheKey(number, buf);
   if (ShardedLruCache::Handle* handle = table_cache_->Lookup(key)) {
-    std::shared_ptr<TableReader> table =
-        *static_cast<std::shared_ptr<TableReader>*>(table_cache_->Value(handle));
+    *table = *static_cast<std::shared_ptr<TableReader>*>(table_cache_->Value(handle));
     table_cache_->Release(handle);
-    return table;
+    return Status::OK();
   }
+  const std::string fname = versions_->TableFileName(number);
   std::unique_ptr<RandomAccessFile> file;
-  Status s = options_.env->NewRandomAccessFile(versions_->TableFileName(number), &file);
-  if (!s.ok()) {
-    return nullptr;
-  }
-  TableReader::Options reader_options;
-  reader_options.block_cache = block_cache_.get();
-  reader_options.cache_id = number;  // file numbers are never reused
+  Status s = options_.env->NewRandomAccessFile(fname, &file);
   std::unique_ptr<TableReader> reader;
-  s = TableReader::Open(std::move(file), file_size, reader_options, &reader);
+  if (s.ok()) {
+    TableReader::Options reader_options;
+    reader_options.block_cache = block_cache_.get();
+    reader_options.cache_id = number;  // file numbers are never reused
+    s = TableReader::Open(std::move(file), file_size, reader_options, &reader);
+  }
+  if (s.IsNotFound() || s.IsCorruption()) {
+    // A live table that is missing or unreadable is damage, and NotFound
+    // must not escape: Get's callers read it as "no such key". The
+    // reader's own messages do not name the file, so add it.
+    return Status::Corruption("table " + fname + ": " + s.ToString());
+  }
   if (!s.ok()) {
-    return nullptr;
+    return s;  // an Env I/O error, which names the file
+  }
+  if (block_cache_ != nullptr) {
+    // Remembered until the sweep unlinks the file and purges its blocks;
+    // the reader itself may be evicted and reopened any number of times
+    // in between without touching the block cache.
+    MutexLock lock(pending_mu_);
+    table_blocks_[number] = reader->NumBlocks();
   }
   // Two threads can race the same miss and both insert; the loser's
-  // entry is replaced and its reader torn down once unpinned (a benign
-  // transient: the torn-down duplicate also purges the file's shared
-  // block keys, costing at most a few warm blocks).
+  // entry is replaced and its reader torn down once unpinned. Both
+  // readers share the file's block keys, so nothing warm is lost.
   auto* holder = new std::shared_ptr<TableReader>(std::move(reader));
-  std::shared_ptr<TableReader> table = *holder;
+  *table = *holder;
   ShardedLruCache::Handle* handle =
       table_cache_->Insert(key, holder, /*charge=*/1, &DeleteTableEntry);
   table_cache_->Release(handle);
-  return table;
+  return Status::OK();
 }
 
 Status DiskComponent::AddRun(Iterator* iter) {
@@ -363,11 +382,12 @@ Status DiskComponent::Get(const Slice& key, std::string* value, uint64_t* seq,
     return a->largest_seq > b->largest_seq;
   });
   for (const FileMetaData* f : l0) {
-    std::shared_ptr<TableReader> table = GetTable(f->number, f->file_size);
-    if (table == nullptr) {
-      return Status::IOError("cannot open table file");
+    std::shared_ptr<TableReader> table;
+    Status s = GetTable(f->number, f->file_size, &table);
+    if (!s.ok()) {
+      return s;
     }
-    Status s = table->Get(key, value, seq, type);
+    s = table->Get(key, value, seq, type);
     if (!s.IsNotFound()) {
       return s;  // hit or error
     }
@@ -389,11 +409,12 @@ Status DiskComponent::Get(const Slice& key, std::string* value, uint64_t* seq,
     if (lo == files.size() || !files[lo].ContainsKey(key)) {
       continue;
     }
-    std::shared_ptr<TableReader> table = GetTable(files[lo].number, files[lo].file_size);
-    if (table == nullptr) {
-      return Status::IOError("cannot open table file");
+    std::shared_ptr<TableReader> table;
+    Status s = GetTable(files[lo].number, files[lo].file_size, &table);
+    if (!s.ok()) {
+      return s;
     }
-    Status s = table->Get(key, value, seq, type);
+    s = table->Get(key, value, seq, type);
     if (!s.IsNotFound()) {
       return s;
     }
@@ -434,8 +455,8 @@ std::unique_ptr<Iterator> DiskComponent::NewIterator() const {
   std::vector<std::shared_ptr<TableReader>> tables;
   // L0 files overlap: each needs its own merge child.
   for (const FileMetaData& f : version->LevelFiles(0)) {
-    std::shared_ptr<TableReader> table = GetTable(f.number, f.file_size);
-    if (table == nullptr) {
+    std::shared_ptr<TableReader> table;
+    if (!GetTable(f.number, f.file_size, &table).ok()) {
       continue;  // surfaced via status of other children in practice
     }
     children.push_back(table->NewIterator());
@@ -446,7 +467,9 @@ std::unique_ptr<Iterator> DiskComponent::NewIterator() const {
   // and a Seek opens only the one file per level that can hold the
   // target.
   TableOpener opener = [this](uint64_t number, uint64_t file_size) {
-    return GetTable(number, file_size);
+    std::shared_ptr<TableReader> table;
+    GetTable(number, file_size, &table);  // null on failure, per TableOpener
+    return table;
   };
   for (int level = 1; level < version->NumLevels(); ++level) {
     if (!version->LevelFiles(level).empty()) {
@@ -474,9 +497,10 @@ Status DiskComponent::DoCompaction(const CompactionJob& job) {
   uint64_t in_bytes = 0;
   for (const auto* inputs : {&job.inputs_lo, &job.inputs_hi}) {
     for (const FileMetaData& f : *inputs) {
-      std::shared_ptr<TableReader> table = GetTable(f.number, f.file_size);
-      if (table == nullptr) {
-        return Status::IOError("compaction input missing");
+      std::shared_ptr<TableReader> table;
+      Status s = GetTable(f.number, f.file_size, &table);
+      if (!s.ok()) {
+        return s;
       }
       // No-fill: a compaction streams every input block exactly once and
       // then deletes the files — inserting them would flush the readers'
@@ -646,6 +670,26 @@ uint64_t DiskComponent::NewPendingNumber() {
   return number;
 }
 
+void DiskComponent::PurgeTableBlocks(uint64_t number) {
+  size_t num_blocks = 0;
+  {
+    MutexLock lock(pending_mu_);
+    auto it = table_blocks_.find(number);
+    if (it == table_blocks_.end()) {
+      return;  // never opened, so nothing of it was cached
+    }
+    num_blocks = it->second;
+    table_blocks_.erase(it);
+  }
+  // Keys never read are simply absent (Erase of a missing key is a cheap
+  // no-op). Blocks still pinned by in-flight readers survive until their
+  // BlockRefs drop; they just become unreachable.
+  char buf[TableReader::kBlockCacheKeySize];
+  for (size_t i = 0; i < num_blocks; ++i) {
+    block_cache_->Erase(TableReader::BlockCacheKey(number, i, buf));
+  }
+}
+
 void DiskComponent::RemoveObsoleteFiles() {
   // Barrier and pending snapshot first, under one lock: any file
   // allocated after them is younger than `live` and might be installed
@@ -678,10 +722,9 @@ void DiskComponent::RemoveObsoleteFiles() {
         continue;
       }
       options_.env->RemoveFile(options_.path + "/" + name);
-      // Dropping the table handle tears down its reader (once unpinned),
-      // which purges the file's blocks from the block cache.
       char buf[8];
       table_cache_->Erase(TableCacheKey(number, buf));
+      PurgeTableBlocks(number);
     } else if (name.size() >= 6 && name.substr(name.size() - 5) == ".vlog") {
       // Same barrier discipline as .sst: orphans of a crashed rotation or
       // a GC'd victim go once no pinned version can resolve into them.
@@ -711,6 +754,10 @@ void DiskComponent::BackgroundWork() {
   // drops mu_ around the merge I/O, and the analysis checks the manual
   // pairing on every branch.
   mu_.lock();
+  // Consecutive failures of this worker, for the retry backoff: a job
+  // that fails every time (an unreadable input) is retried ever more
+  // slowly.
+  int failures = 0;
   while (true) {
     CompactionJob job;
     while (!stop_ && !PickCompactionLocked(&job)) {
@@ -732,13 +779,26 @@ void DiskComponent::BackgroundWork() {
     if (options_.compaction_limiter != nullptr) {
       options_.compaction_limiter->Release();
     }
-    if (!s.ok()) {
+    std::chrono::milliseconds backoff{0};
+    if (s.ok()) {
+      failures = 0;
+    } else {
+      compaction_failures_.fetch_add(1, std::memory_order_relaxed);
       fprintf(stderr, "flodb: compaction failed: %s\n", s.ToString().c_str());
-      // Back off: a transient I/O failure retries; a persistent one must
-      // not melt into a busy loop.
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      // Back off: a transient I/O failure retries soon; a persistent one
+      // must neither melt into a busy loop nor flood the log.
+      backoff = std::min(kCompactionRetryMin * (1 << std::min(failures, 16)),
+                         kCompactionRetryMax);
+      ++failures;
     }
     mu_.lock();
+    // The failed job's levels stay busy through the pause, so no other
+    // worker retries the same job at once. The pause waits on work_cv_,
+    // which shutdown signals, so a stopping store does not wait it out.
+    const auto resume = std::chrono::steady_clock::now() + backoff;
+    while (!stop_ && std::chrono::steady_clock::now() < resume) {
+      work_cv_.WaitFor(mu_, resume - std::chrono::steady_clock::now());
+    }
     --active_compactions_;
     level_busy_[job.level] = false;
     level_busy_[job.level + 1] = false;
@@ -1072,6 +1132,7 @@ DiskComponent::Stats DiskComponent::GetStats() const {
   stats.bytes_compacted_in = bytes_compacted_in_.load(std::memory_order_relaxed);
   stats.bytes_compacted_out = bytes_compacted_out_.load(std::memory_order_relaxed);
   stats.compactions = compactions_.load(std::memory_order_relaxed);
+  stats.compaction_failures = compaction_failures_.load(std::memory_order_relaxed);
   stats.flushes = flushes_.load(std::memory_order_relaxed);
   stats.seeks_saved_by_bloom = bloom_skips_.load(std::memory_order_relaxed);
   for (const auto& [number, garbage] : v->VlogFiles()) {

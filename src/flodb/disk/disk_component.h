@@ -54,9 +54,12 @@ struct DiskOptions {
   size_t block_cache_bytes = 8u << 20;
 
   // Bound on concurrently open TableReaders (an LRU over table handles;
-  // each holds its file, index and bloom filter pinned). Evicting a
-  // table also drops its cached blocks. Must be >= 1.
-  size_t table_cache_entries = 64;
+  // each holds its file, index and bloom filter pinned, and on PosixEnv
+  // one file descriptor). Size it at or above the live table count: a
+  // miss reopens the file and re-reads its index and filter. Evicting a
+  // table leaves its cached blocks warm; only deleting the file purges
+  // them. Must be >= 1. The default is LevelDB's max_open_files.
+  size_t table_cache_entries = 1000;
 
   int num_levels = 7;
   int l0_compaction_trigger = 4;   // L0 file count that triggers L0->L1
@@ -191,6 +194,7 @@ class DiskComponent {
     uint64_t bytes_compacted_in = 0;
     uint64_t bytes_compacted_out = 0;
     uint64_t compactions = 0;
+    uint64_t compaction_failures = 0;  // failed background compaction attempts
     uint64_t flushes = 0;
     uint64_t seeks_saved_by_bloom = 0;
 
@@ -233,7 +237,14 @@ class DiskComponent {
  private:
   explicit DiskComponent(const DiskOptions& options);
 
-  std::shared_ptr<TableReader> GetTable(uint64_t number, uint64_t file_size) const;
+  // Returns the open reader of table `number`, opening it on a table-
+  // cache miss. A missing or corrupt file is Corruption naming the file
+  // (never NotFound, which Get's callers read as a missing key).
+  Status GetTable(uint64_t number, uint64_t file_size,
+                  std::shared_ptr<TableReader>* table) const;
+  // Erases every cached block of table `number` (called once the file is
+  // unlinked; evicting a reader leaves its blocks warm).
+  void PurgeTableBlocks(uint64_t number) EXCLUDES(pending_mu_);
 
   int BloomBits(int level) const {
     return BloomBitsForLevel(options_.bloom_bits_per_level, options_.bloom_bits_per_key, level);
@@ -258,10 +269,6 @@ class DiskComponent {
   std::unique_ptr<VersionSet> versions_;
   std::unique_ptr<ValueLog> value_log_;  // null unless separation enabled
 
-  // Declaration order is a destruction-order contract: evicting the last
-  // table handles (in ~table_cache_) runs TableReader destructors, which
-  // purge their blocks from block_cache_ — so the block cache must be
-  // destroyed AFTER (declared before) the table cache.
   std::unique_ptr<ShardedLruCache> block_cache_;  // null when disabled
   std::unique_ptr<ShardedLruCache> table_cache_;  // bounded open-table LRU
 
@@ -269,8 +276,14 @@ class DiskComponent {
   // GC must skip them — without this, RemoveObsoleteFiles racing with a
   // flush/compaction would unlink a file between its creation and its
   // LogAndApply (the classic pending-outputs race).
-  Mutex pending_mu_;
+  mutable Mutex pending_mu_;
   std::set<uint64_t> pending_outputs_ GUARDED_BY(pending_mu_);
+
+  // Block count of every table this component has opened, so the sweep
+  // can purge a deleted file's blocks whether or not its reader is still
+  // cached. Entries leave with the file. Empty when block_cache_ is null.
+  // File bookkeeping like pending_outputs_, so under the same leaf lock.
+  mutable std::map<uint64_t, size_t> table_blocks_ GUARDED_BY(pending_mu_);
 
   // Vlog garbage observed in the memory component (ReportVlogGarbage),
   // staged until the next successful flush folds it into that flush's
@@ -296,6 +309,7 @@ class DiskComponent {
   std::atomic<uint64_t> bytes_compacted_in_{0};
   std::atomic<uint64_t> bytes_compacted_out_{0};
   std::atomic<uint64_t> compactions_{0};
+  std::atomic<uint64_t> compaction_failures_{0};
   std::atomic<uint64_t> flushes_{0};
   mutable std::atomic<uint64_t> bloom_skips_{0};
   std::atomic<uint64_t> vlog_gc_rewrites_{0};

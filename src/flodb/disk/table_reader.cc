@@ -129,20 +129,6 @@ Status TableReader::Open(std::unique_ptr<RandomAccessFile> file, uint64_t file_s
   return Status::OK();
 }
 
-TableReader::~TableReader() {
-  // Purge this file's blocks so a deleted table's bytes leave the shared
-  // cache with the reader instead of lingering until LRU pressure. Keys
-  // never read are simply absent — Erase of a missing key is a cheap
-  // no-op. Blocks still pinned by in-flight readers survive until their
-  // BlockRefs drop (refcount), they just become unreachable.
-  if (cache_options_.block_cache != nullptr) {
-    char buf[kBlockCacheKeySize];
-    for (size_t i = 0; i < index_.size(); ++i) {
-      cache_options_.block_cache->Erase(BlockCacheKey(cache_options_.cache_id, i, buf));
-    }
-  }
-}
-
 Status TableReader::ReadBlockFromFile(size_t i, std::string* out) const {
   const IndexEntry& e = index_[i];
   out->resize(e.size + kBlockCrcSize);

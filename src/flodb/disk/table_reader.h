@@ -5,10 +5,11 @@
 // (cache_id, block_index): a hit skips the Env read, the CRC pass and
 // the copy; a miss inserts the verified block, charged by its byte size.
 // Readers hold pinned cache handles (BlockRef) while parsing, so a block
-// can never be freed under them by eviction or file deletion. On
-// destruction a reader purges every block it may have cached — deleting
-// a compacted-away table therefore drops its blocks immediately instead
-// of letting them squat in the cache until LRU pressure finds them.
+// can never be freed under them by eviction or file deletion. A reader
+// never purges its blocks: the key names the file, not the reader, so a
+// reader evicted from the table cache and opened again finds its blocks
+// still warm. The owner purges a file's blocks when it deletes the file
+// (DiskComponent::PurgeTableBlocks, keys [0, NumBlocks())).
 
 #ifndef FLODB_DISK_TABLE_READER_H_
 #define FLODB_DISK_TABLE_READER_H_
@@ -33,7 +34,8 @@ class TableReader {
     // Shared block cache; nullptr reads every block straight from Env.
     ShardedLruCache* block_cache = nullptr;
     // Namespaces this file's blocks in the shared cache. The disk
-    // component passes the file number (unique, never reused).
+    // component passes the file number (unique, never reused), so a
+    // reopened file's reader shares its predecessor's cached blocks.
     uint64_t cache_id = 0;
   };
 
@@ -70,8 +72,6 @@ class TableReader {
                      std::unique_ptr<TableReader>* reader) {
     return Open(std::move(file), file_size, Options(), reader);
   }
-
-  ~TableReader();
 
   // Point lookup. Returns OK + outputs on hit, NotFound otherwise.
   Status Get(const Slice& key, std::string* value, uint64_t* seq, ValueType* type) const;

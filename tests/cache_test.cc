@@ -1,12 +1,14 @@
 // ShardedLruCache semantics: LRU eviction order, charge accounting,
 // pinned handles surviving eviction/erase, shard distribution,
 // zero-capacity pass-through — plus the disk-component contract that a
-// compaction-deleted table's blocks leave the block cache with it.
+// compaction-deleted table's blocks leave the block cache with it, while
+// a table merely evicted from the table cache keeps its blocks warm.
 
 #include "flodb/common/cache.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -211,6 +213,61 @@ TEST_F(CacheTest, DestructorFreesResidentEntries) {
 // DiskComponent integration: table deletion purges cached blocks.
 // ---------------------------------------------------------------------------
 
+// MemEnv that counts RandomAccessFile reads, to tell block-cache hits
+// from reads that reach the Env.
+class ReadCountingEnv final : public Env {
+ public:
+  uint64_t reads() const { return reads_.load(); }
+
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_.NewSequentialFile(fname, result);
+  }
+  Status NewRandomAccessFile(const std::string& fname,
+                             std::unique_ptr<RandomAccessFile>* result) override {
+    std::unique_ptr<RandomAccessFile> file;
+    Status s = base_.NewRandomAccessFile(fname, &file);
+    if (s.ok()) {
+      *result = std::make_unique<CountingFile>(std::move(file), &reads_);
+    }
+    return s;
+  }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    return base_.NewWritableFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override { return base_.FileExists(fname); }
+  Status GetChildren(const std::string& dir, std::vector<std::string>* result) override {
+    return base_.GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override { return base_.RemoveFile(fname); }
+  Status CreateDir(const std::string& dirname) override { return base_.CreateDir(dirname); }
+  Status GetFileSize(const std::string& fname, uint64_t* file_size) override {
+    return base_.GetFileSize(fname, file_size);
+  }
+  Status RenameFile(const std::string& src, const std::string& target) override {
+    return base_.RenameFile(src, target);
+  }
+
+ private:
+  class CountingFile final : public RandomAccessFile {
+   public:
+    CountingFile(std::unique_ptr<RandomAccessFile> base, std::atomic<uint64_t>* reads)
+        : base_(std::move(base)), reads_(reads) {}
+    Status Read(uint64_t offset, size_t n, Slice* result, char* scratch) const override {
+      reads_->fetch_add(1);
+      return base_->Read(offset, n, result, scratch);
+    }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    std::atomic<uint64_t>* reads_;
+  };
+
+  MemEnv base_;
+  std::atomic<uint64_t> reads_{0};
+};
+
 class DiskCachePurgeTest : public ::testing::Test {
  protected:
   DiskOptions SmallDisk() {
@@ -236,6 +293,7 @@ class DiskCachePurgeTest : public ::testing::Test {
   }
 
   MemEnv env_;
+  ReadCountingEnv counting_env_;
   std::unique_ptr<DiskComponent> disk_;
 };
 
@@ -295,6 +353,82 @@ TEST_F(DiskCachePurgeTest, BoundedTableCacheEvictsAndReopens) {
   EXPECT_LE(stats.table_cache_entries, 2u);
   EXPECT_GT(stats.table_cache_evictions, 0u);
   EXPECT_GT(stats.table_cache_misses, 6u);
+}
+
+TEST_F(DiskCachePurgeTest, ReopenedTableServesBlocksFromCache) {
+  DiskOptions options = SmallDisk();
+  options.env = &counting_env_;
+  options.table_cache_entries = 2;
+  options.l0_compaction_trigger = 100;  // keep every run in L0
+  options.compaction_threads = 0;
+  ASSERT_TRUE(DiskComponent::Open(options, &disk_).ok());
+
+  // Six disjoint runs -> six tables, two open at a time. Each round reads
+  // every key in order, so a round opens each table it finds evicted.
+  for (uint64_t i = 0; i < 6; ++i) {
+    FlushRange(i * 100, (i + 1) * 100, 1 + i * 1000, "v");
+  }
+  struct Round {
+    uint64_t env_reads, block_hits, block_misses, table_opens;
+  };
+  auto read_all = [&] {
+    const DiskComponent::Stats before = disk_->GetStats();
+    const uint64_t reads_before = counting_env_.reads();
+    std::string value;
+    for (uint64_t k = 0; k < 600; ++k) {
+      EXPECT_TRUE(disk_->Get(Slice(EncodeKey(k)), &value, nullptr, nullptr).ok());
+      EXPECT_EQ(value, "v" + std::to_string(k));
+    }
+    const DiskComponent::Stats after = disk_->GetStats();
+    return Round{counting_env_.reads() - reads_before, after.block_cache_hits - before.block_cache_hits,
+                 after.block_cache_misses - before.block_cache_misses,
+                 after.table_cache_misses - before.table_cache_misses};
+  };
+
+  // Cold round: six opens, and every block comes from the Env once.
+  const Round cold = read_all();
+  ASSERT_EQ(cold.table_opens, 6u);
+  ASSERT_GT(cold.block_misses, 0u);
+  const uint64_t reads_per_open = (cold.env_reads - cold.block_misses) / cold.table_opens;
+
+  // Warm round: tables evicted by the cold round are opened again, and
+  // their blocks are still cached. The Env sees the opens and nothing
+  // else.
+  const Round warm = read_all();
+  EXPECT_GT(warm.table_opens, 0u) << "the round must reopen evicted tables";
+  EXPECT_GT(warm.block_hits, cold.block_hits);
+  EXPECT_EQ(warm.block_misses, 0u) << "eviction from the table cache must not drop blocks";
+  EXPECT_EQ(warm.env_reads, warm.table_opens * reads_per_open);
+}
+
+TEST_F(DiskCachePurgeTest, DeletedTableWithEvictedReaderIsPurged) {
+  DiskOptions options = SmallDisk();
+  options.table_cache_entries = 2;
+  ASSERT_TRUE(DiskComponent::Open(options, &disk_).ok());
+
+  // Three disjoint L0 runs, every key read so each file has blocks in
+  // the cache; with two table slots at least one reader is evicted.
+  FlushRange(0, 200, 1, "a");
+  FlushRange(200, 400, 1000, "b");
+  FlushRange(400, 600, 2000, "c");
+  std::string value;
+  for (uint64_t k = 0; k < 600; ++k) {
+    ASSERT_TRUE(disk_->Get(Slice(EncodeKey(k)), &value, nullptr, nullptr).ok());
+  }
+  ASSERT_GT(disk_->GetStats().table_cache_evictions, 0u);
+  ASSERT_GT(disk_->block_cache()->TotalCharge(), 0u);
+
+  // A fourth run trips the L0 trigger. The compaction reopens its inputs
+  // through the two-slot cache, so some input readers are evicted again
+  // before the sweep deletes their files; the sweep must purge those
+  // files' blocks too.
+  FlushRange(600, 800, 3000, "d");
+  disk_->WaitForCompactions();
+  ASSERT_EQ(disk_->CurrentVersion()->LevelFiles(0).size(), 0u);
+
+  EXPECT_EQ(disk_->block_cache()->TotalCharge(), 0u)
+      << "blocks of a deleted table must be purged even when its reader was evicted";
+  EXPECT_EQ(disk_->block_cache()->TotalEntries(), 0u);
 }
 
 TEST_F(DiskCachePurgeTest, BlockCacheDisabledServesReads) {

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <thread>
 
 #include "flodb/common/key_codec.h"
 #include "flodb/core/memtable_iterator.h"
@@ -311,6 +315,42 @@ TEST_F(DiskComponentTest, StatsTrackWriteAmplification) {
   EXPECT_GT(stats.bytes_flushed, 0u);
   EXPECT_GT(stats.bytes_compacted_in, 0u);
   EXPECT_GT(stats.flushes, 0u);
+}
+
+TEST_F(DiskComponentTest, FailingCompactionBacksOffAndIsCounted) {
+  OpenDisk(SmallDisk());
+  // Three overlapping L0 runs; then the newest file is lost, and a fourth
+  // run trips the L0 trigger. The L0 job takes every L0 file, so it can
+  // never succeed.
+  FlushRange(0, 100, 1, "a");
+  FlushRange(0, 100, 1000, "b");
+  FlushRange(0, 100, 2000, "c");
+  uint64_t lost = 0;
+  for (const FileMetaData& f : disk_->CurrentVersion()->LevelFiles(0)) {
+    lost = std::max(lost, f.number);
+  }
+  char name[32];
+  snprintf(name, sizeof(name), "/db/%06llu.sst", static_cast<unsigned long long>(lost));
+  ASSERT_TRUE(env_.RemoveFile(name).ok());
+
+  // A read that needs the lost file fails with its name, not NotFound:
+  // the callers of Get take NotFound for a missing key.
+  Status s = disk_->Get(Slice(EncodeKey(5)), nullptr, nullptr, nullptr);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find(name), std::string::npos) << s.ToString();
+
+  FlushRange(100, 200, 3000, "d");
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  // Retries back off from 100 ms, doubling: attempts at about 0, 0.1,
+  // 0.3, 0.7 and 1.5 s. A fixed 100 ms retry would make about 20.
+  const uint64_t failures = disk_->GetStats().compaction_failures;
+  EXPECT_GE(failures, 2u);
+  EXPECT_LE(failures, 6u);
+
+  // Shutdown ends the retry pause at once instead of waiting it out.
+  const auto start = std::chrono::steady_clock::now();
+  disk_.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 TEST_F(DiskComponentTest, InvalidOptionsRejected) {
